@@ -3,8 +3,8 @@
 // A simulation task is split by the master into subtasks over disjoint input
 // subsets; subtask descriptors travel through a message queue to working
 // servers (threads here), inputs/results through the object store, status
-// through the subtask database. The master monitors, retries failures, and
-// merges results.
+// back to the master's subtask table (`SubtaskRunner`, subtask_runner.h).
+// The master monitors, retries failures, and merges results in subtask order.
 //
 // The *ordering heuristic*: input routes are pre-sorted by the last address
 // of their prefix and split contiguously, each route subtask recording the
@@ -17,14 +17,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "dist/message_queue.h"
 #include "dist/object_store.h"
 #include "dist/subtask_cache.h"
-#include "dist/subtask_db.h"
+#include "dist/subtask_runner.h"
 #include "net/flow.h"
 #include "net/route.h"
 #include "obs/run_registry.h"
@@ -78,15 +78,6 @@ struct DistSimOptions {
   std::string keyPrefix;
 };
 
-struct SubtaskMetric {
-  std::string id;
-  double seconds = 0;
-  int attempts = 1;
-  size_t ribFilesLoaded = 0;
-  size_t ribFilesTotal = 0;
-  bool fromCache = false;  // Served from the result cache, never queued.
-};
-
 struct DistRouteResult {
   NetworkRibs ribs;  // Merged, re-selected, forwarding index built.
   RouteSimStats stats;
@@ -129,12 +120,11 @@ class DistributedSimulator {
   // are still in the store).
   DistTrafficResult runTrafficSimulation(std::span<const Flow> flows);
 
-  const SubtaskDb& db() const { return db_; }
   const ObjectStore& store() const { return *store_; }
-  // Result keys of the last successful route run, in merge order (the last
-  // one is the local-routes subtask). The incremental engine keys cached
-  // GlobalRib fragments off these.
-  const std::vector<std::string>& routeResultKeys() const { return routeResultKeys_; }
+  // Result keys of the last route run's succeeded subtasks, in merge order
+  // (the last one is the local-routes subtask). The incremental engine keys
+  // cached GlobalRib fragments off these.
+  std::vector<std::string> routeResultKeys() const;
   // The telemetry sink this run reports into (never null; possibly the
   // process-wide disabled instance).
   obs::Telemetry& telemetry() const { return *telemetry_; }
@@ -146,8 +136,14 @@ class DistributedSimulator {
   obs::RunRegistry* registry_; // Resolved: options -> global -> null (off).
   ObjectStore ownStore_;       // Used when options.store is null.
   ObjectStore* store_;         // Resolved: options -> ownStore_.
-  SubtaskDb db_;
-  std::vector<std::string> routeResultKeys_;  // Ordered; last is local-routes.
+  // One succeeded route subtask's result file. Traffic subtasks load the
+  // files whose recorded coverage overlaps their destinations (§3.2).
+  struct RouteFile {
+    std::string resultKey;
+    std::optional<IpRange> coverage;  // Unset for the local-routes file.
+    bool isLocal = false;
+  };
+  std::vector<RouteFile> routeFiles_;  // Last route run, in merge order.
 };
 
 }  // namespace hoyan

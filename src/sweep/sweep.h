@@ -14,8 +14,8 @@
 //    orientation, inert padding) so each distinct degraded network simulates
 //    once no matter how many scenarios map onto it;
 //  * fanning the surviving jobs out over worker threads through the dist
-//    runtime's MessageQueue, with the same retry/exhaust accounting as the
-//    distributed simulator; and
+//    runtime's SubtaskRunner, the loop the distributed simulator runs its
+//    subtasks on (same queue, crash injection, retry/exhaust accounting); and
 //  * serving repeat jobs from a content-addressed verdict cache in the
 //    incremental engine's object store (`cas/k/<fp>`), so overlapping sweeps
 //    — warm re-runs, growing k, shifted focus — skip shared scenarios.

@@ -1,15 +1,15 @@
-// Tests of the distributed simulation framework: queue/store/db primitives,
+// Tests of the distributed simulation framework: queue/store primitives,
 // distributed == centralized result equivalence, failure retry, the ordering
 // heuristic's dependency pruning, and the random-split comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "dist/dist_sim.h"
 #include "dist/message_queue.h"
 #include "dist/object_store.h"
-#include "dist/subtask_db.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
 #include "obs/telemetry.h"
@@ -63,18 +63,6 @@ TEST(ObjectStoreTest, TypedPutGetAndAccounting) {
   EXPECT_THROW(store.get<std::vector<int>>("missing"), std::out_of_range);
   store.erase("k");
   EXPECT_FALSE(store.contains("k"));
-}
-
-TEST(SubtaskDbTest, StatusLifecycle) {
-  SubtaskDb db;
-  SubtaskRecord record;
-  record.id = "route-0";
-  db.upsert(record);
-  db.update("route-0", [](SubtaskRecord& r) { r.status = SubtaskStatus::kRunning; });
-  EXPECT_EQ(db.get("route-0")->status, SubtaskStatus::kRunning);
-  EXPECT_EQ(db.countWithStatus(SubtaskStatus::kRunning), 1u);
-  db.update("nonexistent", [](SubtaskRecord&) { FAIL(); });
-  EXPECT_EQ(db.all().size(), 1u);
 }
 
 class DistSimTest : public ::testing::Test {
@@ -170,10 +158,10 @@ TEST_F(DistSimTest, WorkerCrashesAreRetried) {
   const DistRouteResult result = sim.runRouteSimulation(inputs_);
   EXPECT_TRUE(result.succeeded);
   EXPECT_GT(result.retries, 0u);
-  // Retried subtasks recorded multiple attempts in the DB.
+  // Retried subtasks recorded multiple attempts in the subtask table.
   bool sawRetriedRecord = false;
-  for (const SubtaskRecord& record : sim.db().all())
-    if (record.attempts > 1) sawRetriedRecord = true;
+  for (const SubtaskMetric& metric : result.subtasks)
+    if (metric.attempts > 1) sawRetriedRecord = true;
   EXPECT_TRUE(sawRetriedRecord);
   // And the result still matches the centralized reference count.
   RouteSimOptions central;
@@ -346,9 +334,11 @@ TEST_F(DistSimTest, ExhaustedSubtasksAreSurfacedWithCounter) {
             telemetry.metrics().counter("dist.subtask_exhausted").value());
   // Every surfaced id names a subtask that exhausted its attempts.
   for (const std::string& id : result.failedSubtasks) {
-    const auto record = sim.db().get(id);
-    ASSERT_TRUE(record.has_value()) << id;
-    EXPECT_EQ(record->status, SubtaskStatus::kFailed) << id;
+    const auto record =
+        std::find_if(result.subtasks.begin(), result.subtasks.end(),
+                     [&](const SubtaskMetric& metric) { return metric.id == id; });
+    ASSERT_NE(record, result.subtasks.end()) << id;
+    EXPECT_EQ(record->outcome, SubtaskOutcome::kExhausted) << id;
     EXPECT_EQ(record->attempts, options.maxAttempts) << id;
   }
 }
@@ -393,9 +383,11 @@ TEST_F(DistSimTest, RetriesEqualExtraAttemptsAtEveryWorkerCount) {
     const DistTrafficResult traffic = sim.runTrafficSimulation(flows_);
     ASSERT_TRUE(traffic.succeeded) << workers;
     size_t extraAttempts = 0;
-    for (const SubtaskRecord& record : sim.db().all()) {
-      ASSERT_GE(record.attempts, 1) << record.id;
-      extraAttempts += static_cast<size_t>(record.attempts - 1);
+    for (const auto* phase : {&route.subtasks, &traffic.subtasks}) {
+      for (const SubtaskMetric& record : *phase) {
+        ASSERT_GE(record.attempts, 1) << record.id;
+        extraAttempts += static_cast<size_t>(record.attempts - 1);
+      }
     }
     EXPECT_EQ(route.retries + traffic.retries, extraAttempts) << workers;
     // The same per-subtask attempts surface through the result metrics.
