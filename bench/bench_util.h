@@ -24,6 +24,7 @@
 
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/run_registry.h"
@@ -363,13 +364,7 @@ class BenchJson {
 
  private:
   static std::string quoted(const std::string& text) {
-    std::string out = "\"";
-    for (const char c : text) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-    out += '"';
-    return out;
+    return "\"" + obs::jsonEscape(text) + "\"";
   }
 
   static std::string number(double value) {

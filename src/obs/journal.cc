@@ -4,35 +4,16 @@
 #include <cstdio>
 #include <tuple>
 
+#include "obs/json.h"
+
 namespace hoyan::obs {
 namespace {
-
-// Minimal JSON string escape: quotes, backslashes, control characters.
-void appendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void appendField(std::string& out, std::string_view name, std::string_view value) {
   out += ",\"";
   out += name;
   out += "\":\"";
-  appendEscaped(out, value);
+  appendJsonEscaped(out, value);
   out += '"';
 }
 

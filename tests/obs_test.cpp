@@ -115,7 +115,12 @@ class JsonParser {
           case 'n': out += '\n'; break;
           case 't': out += '\t'; break;
           case 'r': out += '\r'; break;
-          case 'u': pos_ += 4; out += '?'; break;
+          case 'u': {
+            const int code = std::stoi(text_.substr(pos_ + 1, 4), nullptr, 16);
+            out += code < 0x80 ? static_cast<char>(code) : '?';
+            pos_ += 4;
+            break;
+          }
           default: out += text_[pos_];
         }
       } else {
@@ -468,13 +473,19 @@ TEST(TraceTest, FinishIsIdempotentAndMoveSafe) {
 }
 
 TEST(TraceTest, ChromeTraceJsonParsesBack) {
+  std::string controlBytes;
+  for (char c = 0x01; c < 0x20; ++c) controlBytes += c;
   obs::Tracer tracer;
   {
     obs::Span outer = tracer.span("route.task", "dist");
     obs::Span inner = tracer.span("route.subtask", "dist");
     inner.arg("id", "route-7");
+    inner.arg("control", controlBytes);
   }
-  const JsonValue root = JsonParser(tracer.toChromeTraceJson()).parse();
+  const std::string json = tracer.toChromeTraceJson();
+  // Every control byte is escaped, none dropped or emitted raw.
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  const JsonValue root = JsonParser(json).parse();
   const JsonArray& events = root.object().at("traceEvents").array();
   ASSERT_EQ(events.size(), 2u);
   for (const JsonValue& event : events) {
@@ -486,6 +497,7 @@ TEST(TraceTest, ChromeTraceJsonParsesBack) {
   }
   EXPECT_EQ(events[0].object().at("name").str(), "route.subtask");
   EXPECT_EQ(events[0].object().at("args").object().at("id").str(), "route-7");
+  EXPECT_EQ(events[0].object().at("args").object().at("control").str(), controlBytes);
 }
 
 TEST(TraceTest, ConcurrentSpansRecordPerThreadIds) {

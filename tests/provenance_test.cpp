@@ -361,9 +361,18 @@ TEST(PropGraphTest, DotAndJsonExports) {
   EXPECT_NE(dot.find("digraph"), std::string::npos) << dot;
   EXPECT_NE(dot.find("\"ex-A\" -> \"ex-B\""), std::string::npos) << dot;
   EXPECT_NE(dot.find("dashed"), std::string::npos) << dot;  // Denied edges.
+  std::string controlBytes;
+  for (char c = 0x01; c < 0x20; ++c) controlBytes += c;
+  edge.to = Names::id("ex-C");
+  edge.detail = controlBytes;
+  graph.addEdge(edge);
   const std::string json = graph.toJson();
   EXPECT_NE(json.find("\"kind\":\"denied\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"nodes\":"), std::string::npos) << json;
+  // Control bytes in a detail are escaped, never emitted raw.
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  EXPECT_NE(json.find("\\u0001\\u0002"), std::string::npos) << json;
+  EXPECT_NE(json.find("\\r"), std::string::npos) << json;
 }
 
 TEST(PropGraphTest, FromRibsReconstructsLearnedFromEdges) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/report_json.h"
+#include "obs/json.h"
 #include "scenario/audit_catalog.h"
 #include "scenario/scenarios.h"
 
@@ -10,11 +11,11 @@ namespace hoyan {
 namespace {
 
 TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(jsonEscape("plain"), "plain");
-  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::jsonEscape("plain"), "plain");
+  EXPECT_EQ(obs::jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::jsonEscape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 class ReportTest : public ::testing::Test {
