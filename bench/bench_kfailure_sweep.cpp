@@ -9,14 +9,16 @@
 //
 // A fourth run states the same scope as an RCL intent and lets
 // sweep::deriveHints compute the pruning hints from its guard, reporting the
-// derived prune rate plus the copy-on-write worker-model accounting (peak
+// derived prune rate, the GlobalRib rows its scoped property renders per
+// evaluated job, and the copy-on-write worker-model accounting (peak
 // materialized bytes vs the deep-copy footprint) against its own serial
 // baseline.
 //
 // Flags (also readable from the environment, bench_util-style):
 //   --json-out=<file>     BenchJson artifact (HOYAN_BENCH_JSON, default
 //                         kfailure_sweep.json): scenarios/sec, prune rate,
-//                         cache hit rate, speedups vs serial
+//                         cache hit rate, speedups vs serial, rendered
+//                         GlobalRib rows per derived job
 //   --journal-out=<file>  RunJournal JSONL for the preprocess + sweep runs
 //                         (HOYAN_JOURNAL_OUT, written by the bench_util
 //                         trace hook's global telemetry); `hoyan_inspect`
@@ -194,11 +196,26 @@ int main(int argc, char** argv) {
     derivedSerialSeconds = stopwatch.seconds();
   }
 
+  // The intent property counts the GlobalRib rows it renders; a scoped
+  // intent renders only its relevant prefixes' rows, far below the full
+  // table's row count.
+  obs::Counter& ribRows = obs::Telemetry::orDisabled(obs::Telemetry::global())
+                              .metrics()
+                              .counter("core.sweep.rib_rows");
+  const uint64_t ribRowsBefore = ribRows.value();
   Stopwatch derivedWatch;
   const sweep::SweepResult derived =
       hoyan.sweepIntentFaultTolerance(intentSpec, failure);
   const double derivedSeconds = derivedWatch.seconds();
   describe("derived sweep", derived, derivedSeconds);
+  const double derivedRibRowsPerJob =
+      derived.stats.evaluated == 0
+          ? 0
+          : static_cast<double>(ribRows.value() - ribRowsBefore) /
+                static_cast<double>(derived.stats.evaluated);
+  const size_t fullRibRows = hoyan.baseGlobalRib().size();
+  std::printf("derived rib rows: %.4g per job vs %zu in the full base table\n",
+              derivedRibRowsPerJob, fullRibRows);
 
   bool derivedIdentical = true;
   if (runSerial) {
@@ -269,6 +286,8 @@ int main(int argc, char** argv) {
   artifact.metric("results_identical", identical ? 1 : 0);
   artifact.metric("derived_prune_rate", derivedPruneRate);
   artifact.metric("derived_results_identical", derivedIdentical ? 1 : 0);
+  artifact.metric("derived_rib_rows_per_job", derivedRibRowsPerJob);
+  artifact.metric("full_rib_rows", static_cast<double>(fullRibRows));
   artifact.metric("worker_model_peak_bytes",
                   static_cast<double>(derived.stats.workerModelPeakBytes));
   artifact.metric("worker_model_deep_bytes",

@@ -467,14 +467,8 @@ sweep::SweepResult Hoyan::sweepIntentFaultTolerance(const std::string& rclSpec,
     tel.log().info("core.sweep.hints_fallback",
                    {{"intent", rclSpec}, {"reason", derived.reason}});
   }
-  const rcl::IntentPtr intent = outcome.intent;
-  const NetworkProperty property = [intent](const NetworkModel&,
-                                            const NetworkRibs& ribs) {
-    // The audit-task reading on the degraded network: PRE and POST both
-    // bound to its global RIB.
-    rcl::GlobalRib rib = rcl::GlobalRib::fromNetworkRibs(ribs);
-    return rcl::checkIntent(*intent, rib, rib).satisfied;
-  };
+  const NetworkProperty property = sweep::intentProperty(
+      outcome.intent, derived, &tel.metrics().counter("core.sweep.rib_rows"));
   return sweepFaultTolerance(property, options, derived.hints);
 }
 

@@ -5,8 +5,7 @@
 namespace hoyan {
 namespace {
 
-std::string deviceName(const GeneratedWan& wan, std::mt19937& rng,
-                       const std::vector<NameId>& pool) {
+std::string deviceName(std::mt19937& rng, const std::vector<NameId>& pool) {
   return Names::str(pool[rng() % pool.size()]);
 }
 
@@ -43,8 +42,8 @@ std::vector<std::string> generateRclCorpus(const GeneratedWan& wan, size_t count
         corpus.push_back("not prefix = " + ispPrefix(rng, wan) + " => PRE = POST");
         break;
       case 2: {  // §4.3: validating unchanged routes on a router group.
-        const std::string r1 = deviceName(wan, rng, routers);
-        const std::string r2 = deviceName(wan, rng, routers);
+        const std::string r1 = deviceName(rng, routers);
+        const std::string r2 = deviceName(rng, routers);
         corpus.push_back("forall device in {" + r1 + ", " + r2 + "}: forall prefix in {" +
                          ispPrefix(rng, wan) + ", " + dcPrefix(rng, wan) +
                          "}: routeType = BEST => "
@@ -52,14 +51,14 @@ std::vector<std::string> generateRclCorpus(const GeneratedWan& wan, size_t count
         break;
       }
       case 3: {  // §4.3: validating the success of route changes.
-        const std::string r1 = deviceName(wan, rng, routers);
-        const std::string r2 = deviceName(wan, rng, routers);
+        const std::string r1 = deviceName(rng, routers);
+        const std::string r2 = deviceName(rng, routers);
         corpus.push_back("forall device in {" + r1 + ", " + r2 + "}: POST || (communities contains " +
                          community(rng) + ") |> count() = 0");
         break;
       }
       case 4: {  // §4.3: conditional changes via imply.
-        const std::string r1 = deviceName(wan, rng, routers);
+        const std::string r1 = deviceName(rng, routers);
         corpus.push_back("forall device in {" + r1 + "}: forall prefix: "
                          "(PRE |> distVals(nexthop) = {1.2.3.4}) imply "
                          "(POST |> distVals(nexthop) = {10.2.3.4})");
@@ -69,7 +68,7 @@ std::vector<std::string> generateRclCorpus(const GeneratedWan& wan, size_t count
         corpus.push_back("POST |> count() >= PRE |> count()");
         break;
       case 6:  // Per-prefix nexthop multiplicity.
-        corpus.push_back("device = " + deviceName(wan, rng, routers) +
+        corpus.push_back("device = " + deviceName(rng, routers) +
                          " => forall prefix: POST |> distCnt(nexthop) >= 1");
         break;
       case 7:  // Reclamation check.

@@ -104,7 +104,13 @@ struct FragmentAssemblyStats {
 class GlobalRib {
  public:
   GlobalRib() = default;
-  static GlobalRib fromNetworkRibs(const NetworkRibs& ribs);
+  // Renders every route of `ribs`, or, when `scope` is non-empty, only the
+  // (device, vrf, prefix) groups whose prefix is in `scope` (sorted by
+  // Prefix order, no duplicates). Scoped rows keep their full-table relative
+  // order, so the result is the full table filtered to the scope. Finalized
+  // either way.
+  static GlobalRib fromNetworkRibs(const NetworkRibs& ribs,
+                                   std::span<const Prefix> scope = {});
 
   // Assembles the table `fromNetworkRibs(merged)` would produce from the
   // per-subtask fragments, copying rows (and their cached renders) for every

@@ -32,7 +32,9 @@ enum class TokenKind : uint8_t {
 };
 
 struct Token {
-  TokenKind kind = TokenKind::kEnd;
+  Token(TokenKind tokenKind = TokenKind::kEnd) : kind(tokenKind) {}
+
+  TokenKind kind;
   std::string text;
   double number = 0;
   CompareOp op = CompareOp::kEq;

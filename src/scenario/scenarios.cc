@@ -14,19 +14,6 @@ std::string loopbackOf(const ScenarioEnvironment& environment, const std::string
   return found ? found->loopback.str() : "0.0.0.0";
 }
 
-// The address of `device`'s interface on its link to `peer`.
-std::string linkAddressOf(const ScenarioEnvironment& environment,
-                          const std::string& device, const std::string& peer) {
-  const Topology& topology = environment.wan.topology;
-  for (const Adjacency& adj : topology.adjacenciesOf(Names::id(device))) {
-    if (adj.neighbor != Names::id(peer)) continue;
-    const Device* self = topology.findDevice(Names::id(device));
-    const Interface* itf = self ? self->findInterface(adj.localInterface) : nullptr;
-    if (itf) return itf->address.str();
-  }
-  return "0.0.0.0";
-}
-
 Flow probeFlow(const std::string& ingress, const std::string& src, const std::string& dst,
                uint16_t port) {
   Flow flow;

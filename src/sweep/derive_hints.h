@@ -42,6 +42,7 @@
 #include <string>
 
 #include "net/route.h"
+#include "obs/metrics.h"
 #include "proto/network_model.h"
 #include "rcl/ast.h"
 #include "sweep/sweep.h"
@@ -64,5 +65,16 @@ struct DeriveResult {
 // `inputs` the same injected routes the sweep will simulate.
 DeriveResult deriveHints(const rcl::Intent& intent, const NetworkModel& model,
                          std::span<const InputRoute> inputs);
+
+// The sweep property for `intent`: checks it on each degraded network with
+// PRE and POST both bound to that network's global RIB (the audit-task
+// reading). When `derived` is scoped, only the rows whose prefix is in
+// `derived.hints.relevantPrefixes` are rendered: every PRE/POST access is
+// restricted to a prefix-pure scope, and the relevant set is that scope over
+// every prefix a degraded RIB can hold (plus aggregate closure), so the
+// dropped rows cannot change the verdict. Unscoped intents render the full
+// table. `renderedRows`, when set, counts the rows each call renders.
+NetworkProperty intentProperty(rcl::IntentPtr intent, const DeriveResult& derived,
+                               obs::Counter* renderedRows = nullptr);
 
 }  // namespace hoyan::sweep

@@ -132,7 +132,7 @@ TEST_F(HoyanFacadeTest, FaultToleranceFacade) {
         return dataPlaneReachable(model, ribs, net_.c2,
                                   *IpAddress::parse("100.1.2.3"));
       },
-      KFailureOptions{.k = 1, .maxCounterexamples = 3});
+      KFailureOptions{.k = 1, .maxCounterexamples = 3, .focusDevices = {}});
   EXPECT_FALSE(result.holds());  // The single-homed ISP link is a SPOF.
 }
 

@@ -264,8 +264,8 @@ TEST_F(DeriveHintsTest, IrrelevantInjectorIsNotListed) {
   sweep::SweepOptions options;
   options.failure = failure;
   options.workers = 3;
-  const sweep::SweepResult swept =
-      sweep::sweepKFailures(model_, inputs_, property, options, result.hints);
+  const sweep::SweepResult swept = sweep::sweepKFailures(
+      model_, inputs_, sweep::intentProperty(intent, result), options, result.hints);
   EXPECT_EQ(serial.scenariosChecked, swept.result.scenariosChecked);
   ASSERT_EQ(serial.counterexamples.size(), swept.result.counterexamples.size());
   for (size_t i = 0; i < serial.counterexamples.size(); ++i) {
@@ -275,6 +275,55 @@ TEST_F(DeriveHintsTest, IrrelevantInjectorIsNotListed) {
               swept.result.counterexamples[i].failedDevices);
   }
   EXPECT_GT(swept.stats.pruned, 0u);
+}
+
+TEST_F(DeriveHintsTest, IntentPropertyMatchesFullRenderUnderFailures) {
+  // Two announced prefixes, so multi-prefix scopes render more than one.
+  inputs_.push_back(ispRoute(net_, "100.2.0.0/16"));
+  // Each intent reads C2's rows, which vanish when the border or its ISP
+  // fails, so every case has counterexamples to agree on.
+  const std::string c2 = Names::str(net_.c2);
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {"forall prefix in {100.1.0.0/16, 100.2.0.0/16}: device = " + c2 +
+           " => POST |> count() >= 1",
+       true},
+      {"prefix = 100.1.0.0/16 or prefix = 100.2.0.0/16 => POST || device = " + c2 +
+           " |> distCnt(prefix) = 2",
+       true},
+      // The complement scope: every carriable prefix but one.
+      {"not prefix = 100.1.0.0/16 => POST || (prefix = 100.2.0.0/16 and device = " +
+           c2 + ") |> count() >= 1",
+       true},
+      // A prefix term under a mixed `or` does not scope: the full table is
+      // rendered.
+      {"POST || ((prefix = 100.2.0.0/16 or (prefix = 100.1.0.0/16 and "
+       "routeType = BEST)) and device = " + c2 + ") |> count() >= 1",
+       false},
+  };
+  KFailureOptions failure;
+  failure.k = 1;
+  failure.includeDeviceFailures = true;
+  failure.maxCounterexamples = 50;
+  for (const auto& [spec, scoped] : cases) {
+    const rcl::ParseOutcome outcome = rcl::parseIntent(spec);
+    ASSERT_TRUE(outcome.ok()) << spec << ": " << outcome.error;
+    const rcl::IntentPtr intent = outcome.intent;
+    const sweep::DeriveResult derived = sweep::deriveHints(*intent, model_, inputs_);
+    EXPECT_EQ(derived.scoped, scoped) << spec << ": " << derived.reason;
+    const NetworkProperty full = [intent](const NetworkModel&, const NetworkRibs& ribs) {
+      const rcl::GlobalRib rib = rcl::GlobalRib::fromNetworkRibs(ribs);
+      return rcl::checkIntent(*intent, rib, rib).satisfied;
+    };
+    const KFailureResult expected = checkKFailures(model_, inputs_, full, failure);
+    const KFailureResult actual = checkKFailures(
+        model_, inputs_, sweep::intentProperty(intent, derived), failure);
+    EXPECT_FALSE(expected.counterexamples.empty()) << spec;
+    EXPECT_EQ(expected.scenariosChecked, actual.scenariosChecked) << spec;
+    ASSERT_EQ(expected.counterexamples.size(), actual.counterexamples.size()) << spec;
+    for (size_t i = 0; i < expected.counterexamples.size(); ++i)
+      EXPECT_EQ(expected.counterexamples[i].str(), actual.counterexamples[i].str())
+          << spec;
+  }
 }
 
 TEST(DeriveHintsHoyanTest, IntentSweepDerivesHintsAndMatchesSerial) {
@@ -307,8 +356,15 @@ TEST(DeriveHintsHoyanTest, IntentSweepDerivesHintsAndMatchesSerial) {
   failure.maxCounterexamples = 20;
   const KFailureResult serial = hoyan.checkFaultToleranceSerial(property, failure);
 
+  obs::Counter& ribRows = hoyan.telemetry()->metrics().counter("core.sweep.rib_rows");
+  const uint64_t rowsBefore = ribRows.value();
   const sweep::SweepResult swept = hoyan.sweepIntentFaultTolerance(spec, failure);
   EXPECT_EQ(serial.scenariosChecked, swept.result.scenariosChecked);
+  // The scoped property renders only 100.1.0.0/16's rows: some per job, far
+  // fewer than the full table.
+  const uint64_t rowsRendered = ribRows.value() - rowsBefore;
+  EXPECT_GT(rowsRendered, 0u);
+  EXPECT_LT(rowsRendered, swept.stats.evaluated * hoyan.baseGlobalRib().size());
   ASSERT_EQ(serial.counterexamples.size(), swept.result.counterexamples.size());
   for (size_t i = 0; i < serial.counterexamples.size(); ++i) {
     EXPECT_EQ(serial.counterexamples[i].failedLinks,

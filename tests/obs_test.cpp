@@ -382,7 +382,9 @@ TEST(MetricsTest, PrometheusExpositionGrammarRoundTrip) {
       EXPECT_TRUE(isHelp || isType) << line;
       // Every TYPE is introduced by the family's HELP directly above it, and
       // HELP text never leaks a raw newline (it would have split the line).
-      if (isType) EXPECT_TRUE(lastCommentWasHelp) << line;
+      if (isType) {
+        EXPECT_TRUE(lastCommentWasHelp) << line;
+      }
       lastCommentWasHelp = isHelp;
       continue;
     }

@@ -3,9 +3,11 @@
 // an RCL corpus intent, then require the k-failure sweep with hints *derived
 // from the intent* to be byte-identical — scenariosChecked and the ordered
 // counterexample list — to both the serial oracle (checkKFailures) and an
-// unpruned sweep, at 1, 3, and 6 workers. A divergence prints the seed, the
-// intent, the derived hints, and the smallest differing scenario so the case
-// can be replayed and minimized.
+// unpruned sweep, at 1, 3, and 6 workers. The same holds for the derived
+// sweep run with sweep::intentProperty, which renders only the rows of the
+// relevant prefixes, against the oracle's full-table render. A divergence
+// prints the seed, the intent, the derived hints, and the smallest differing
+// scenario so the case can be replayed and minimized.
 //
 // Seed count knob (CI sanitizer runs use a reduced set):
 //   --seeds=N                     (test binary flag)
@@ -165,6 +167,10 @@ TEST(SweepPropTest, DerivedHintsSweepMatchesSerialOracleOnRandomCases) {
       EXPECT_EQ(unpruned.stats.pruned, 0u) << context;
     }
 
+    // The facade's property: renders only the relevant prefixes' rows when
+    // the intent is scoped, the full table when it falls back.
+    const NetworkProperty scopedProperty = sweep::intentProperty(intent, derived);
+
     // Derived-hints sweeps at every worker count.
     for (const size_t workers : {1u, 3u, 6u}) {
       sweep::SweepOptions options;
@@ -181,7 +187,9 @@ TEST(SweepPropTest, DerivedHintsSweepMatchesSerialOracleOnRandomCases) {
       EXPECT_EQ(swept.stats.scheduled + swept.stats.pruned + swept.stats.deduped,
                 swept.stats.enumerated + (swept.stats.pruned > 0 ? 1 : 0))
           << context;
-      if (!derived.scoped) EXPECT_EQ(swept.stats.pruned, 0u) << context;
+      if (!derived.scoped) {
+        EXPECT_EQ(swept.stats.pruned, 0u) << context;
+      }
       if (swept.stats.evaluated > 0) {
         // CoW accounting: a worker never materializes a full deep copy.
         EXPECT_GT(swept.stats.workerModelPeakBytes, 0u) << context;
@@ -190,6 +198,13 @@ TEST(SweepPropTest, DerivedHintsSweepMatchesSerialOracleOnRandomCases) {
             << context;
       }
       if (workers == 3) prunedScenarios += swept.stats.pruned;
+
+      const sweep::SweepResult scopedSwept =
+          sweep::sweepKFailures(model, inputs, scopedProperty, options, derived.hints);
+      const auto scopedDiff = diverges(serial, scopedSwept.result);
+      EXPECT_FALSE(scopedDiff.has_value())
+          << context << " [intentProperty workers=" << workers << "] " << hintNote
+          << " :: " << *scopedDiff;
     }
 
     if (::testing::Test::HasFailure()) {

@@ -114,8 +114,9 @@ TEST(FailureOverlayTest, ApplyRevertRestoresIdenticalState) {
   // effective view (linkUp) must report the failure.
   for (size_t i = 0; i < net.topology.links().size(); ++i) {
     const Link& link = net.topology.links()[i];
-    if (link.connects(net.c1) && link.connects(net.c2))
+    if (link.connects(net.c1) && link.connects(net.c2)) {
       EXPECT_FALSE(net.topology.linkUp(i));
+    }
   }
   EXPECT_FALSE(net.topology.deviceActive(net.br1));
   EXPECT_FALSE(net.topology.deviceActive(net.isp1));
@@ -132,8 +133,9 @@ TEST(FailureOverlayTest, ApplyRevertRestoresIdenticalState) {
   // C1<->RR1 was down before apply and stays down after revert.
   for (size_t i = 0; i < net.topology.links().size(); ++i) {
     const Link& link = net.topology.links()[i];
-    if (link.connects(net.c1) && link.connects(net.rr1))
+    if (link.connects(net.c1) && link.connects(net.rr1)) {
       EXPECT_FALSE(net.topology.linkUp(i));
+    }
   }
 
   // Revert when not applied is a no-op; the overlay is reusable.
