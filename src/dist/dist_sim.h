@@ -117,8 +117,11 @@ class DistributedSimulator {
   DistRouteResult runRouteSimulation(std::span<const InputRoute> inputs);
 
   // Requires a prior successful runRouteSimulation (its per-subtask results
-  // are still in the store).
-  DistTrafficResult runTrafficSimulation(std::span<const Flow> flows);
+  // are still in the store). `onMaster` is caller work for the master thread
+  // while the traffic workers run (SubtaskRunner::run); it runs exactly once,
+  // also when every subtask is a cache hit.
+  DistTrafficResult runTrafficSimulation(std::span<const Flow> flows,
+                                         const SubtaskRunner::MasterWork& onMaster = {});
 
   const ObjectStore& store() const { return *store_; }
   // Result keys of the last route run's succeeded subtasks, in merge order

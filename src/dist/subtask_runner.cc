@@ -74,7 +74,17 @@ void SubtaskRunner::apply(const Report& report) {
   row.seconds = report.seconds;
 }
 
-void SubtaskRunner::run(const Body& body, const Settled& settled, bool cancel) {
+void SubtaskRunner::run(const Body& body, const Settled& settled, bool cancel,
+                        const MasterWork& onMaster) {
+  std::exception_ptr masterError;
+  const auto runOnMaster = [&] {
+    if (!onMaster) return;
+    try {
+      onMaster();
+    } catch (...) {
+      masterError = std::current_exception();
+    }
+  };
   bool done = settled && settled();
   if (!(done && cancel) && queued_ > 0) {
     std::vector<std::thread> workers;
@@ -83,6 +93,7 @@ void SubtaskRunner::run(const Body& body, const Settled& settled, bool cancel) {
     for (size_t w = 0; w < threadsStarted_; ++w)
       workers.emplace_back(&SubtaskRunner::workerLoop, this, std::cref(body),
                            static_cast<int>(w));
+    runOnMaster();
     // Retries go back onto the queue, so it stays open until every subtask
     // has resolved, or until the caller has settled and cancels the rest.
     for (size_t pending = queued_; pending > 0 && !(done && cancel); --pending) {
@@ -92,9 +103,12 @@ void SubtaskRunner::run(const Body& body, const Settled& settled, bool cancel) {
     if (done && cancel) cancelled_ = true;
     queue_.close();
     for (std::thread& worker : workers) worker.join();
+  } else {
+    runOnMaster();
   }
   // Attempts that finished after the caller settled.
   while (const std::optional<Report> report = reports_.tryPop()) apply(*report);
+  if (masterError) std::rethrow_exception(masterError);
 }
 
 void SubtaskRunner::workerLoop(const Body& body, int worker) {

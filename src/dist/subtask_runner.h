@@ -4,7 +4,8 @@
 //
 // The master registers its subtasks in order (`add`), serves each from its
 // result cache (`cacheHit`) or queues it (`cacheMiss`, `enqueue`), then
-// `run`s a body over the queued ones on min(workers, queued) threads. A
+// `run`s a body over the queued ones on min(workers, queued) threads, while
+// the master thread itself may do one piece of the caller's own work. A
 // crash — injected per (id, attempt, seed), or thrown by the body — re-queues
 // the subtask until it has made `maxAttempts` attempts. Workers report each
 // outcome back to the master thread, which alone writes the subtask table,
@@ -80,6 +81,8 @@ class SubtaskRunner {
   using Body = std::function<void(size_t index, int worker)>;
   // Master-side check after each resolution; true = the caller needs no more.
   using Settled = std::function<bool()>;
+  // Caller work for the master thread while the workers run.
+  using MasterWork = std::function<void()>;
 
   explicit SubtaskRunner(SubtaskRunnerOptions options);
 
@@ -96,7 +99,12 @@ class SubtaskRunner {
   // `settled` is consulted before the first start and after each
   // resolution. Once it returns true, `cancel` drops the subtasks still
   // queued (they never start); otherwise they drain.
-  void run(const Body& body, const Settled& settled = {}, bool cancel = false);
+  // `onMaster` runs exactly once on the calling thread: after the workers
+  // start and before their reports are collected, or on its own when no
+  // worker starts. If it throws, the phase still finishes and every worker
+  // is joined before the exception propagates.
+  void run(const Body& body, const Settled& settled = {}, bool cancel = false,
+           const MasterWork& onMaster = {});
 
   // --- master, after run() ----------------------------------------------------
   const std::vector<SubtaskMetric>& rows() const { return rows_; }

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <cstdio>
 #include <vector>
 
 namespace hoyan {
@@ -88,12 +87,22 @@ std::optional<IpAddress> IpAddress::parse(std::string_view text) {
 }
 
 std::string IpAddress::str() const {
-  char buffer[64];
+  std::string out;
+  appendTo(out);
+  return out;
+}
+
+void IpAddress::appendTo(std::string& out) const {
+  char buffer[16];
   if (isV4()) {
     const uint32_t v = v4Value();
-    std::snprintf(buffer, sizeof(buffer), "%u.%u.%u.%u", (v >> 24) & 0xff, (v >> 16) & 0xff,
-                  (v >> 8) & 0xff, v & 0xff);
-    return buffer;
+    char* end = buffer;
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      if (shift != 24) *end++ = '.';
+      end = std::to_chars(end, buffer + sizeof(buffer), (v >> shift) & 0xff).ptr;
+    }
+    out.append(buffer, end);
+    return;
   }
   std::array<uint16_t, 8> groups;
   for (int i = 0; i < 4; ++i) groups[i] = static_cast<uint16_t>(bits_.hi >> (48 - 16 * i));
@@ -114,20 +123,17 @@ std::string IpAddress::str() const {
     }
     i = j;
   }
-  std::string out;
   if (bestLen < 2) bestStart = -1;  // Only compress runs of two or more.
   for (int i = 0; i < 8; ++i) {
     if (i == bestStart) {
       out += i == 0 ? "::" : ":";
       i += bestLen - 1;
-      if (i == 7) return out;  // Trailing "::".
+      if (i == 7) return;  // Trailing "::".
       continue;
     }
-    std::snprintf(buffer, sizeof(buffer), "%x", groups[i]);
-    out += buffer;
+    out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), groups[i], 16).ptr);
     if (i != 7) out += ':';
   }
-  return out;
 }
 
 U128 maskBits(IpFamily family, uint8_t length) {
@@ -175,7 +181,16 @@ bool Prefix::overlaps(const Prefix& other) const {
 }
 
 std::string Prefix::str() const {
-  return address_.str() + "/" + std::to_string(length_);
+  std::string out;
+  appendTo(out);
+  return out;
+}
+
+void Prefix::appendTo(std::string& out) const {
+  address_.appendTo(out);
+  char buffer[4];
+  out += '/';
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), unsigned{length_}).ptr);
 }
 
 void IpRange::extend(const Prefix& p) {

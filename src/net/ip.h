@@ -89,6 +89,8 @@ class IpAddress {
   }
 
   std::string str() const;
+  // Appends str() to `out`, without temporaries.
+  void appendTo(std::string& out) const;
 
   friend constexpr bool operator==(const IpAddress& a, const IpAddress& b) {
     return a.family_ == b.family_ && a.bits_ == b.bits_;
@@ -141,6 +143,8 @@ class Prefix {
   bool overlaps(const Prefix& other) const;
 
   std::string str() const;
+  // Appends str() to `out`, without temporaries.
+  void appendTo(std::string& out) const;
 
   friend bool operator==(const Prefix& a, const Prefix& b) {
     return a.length_ == b.length_ && a.address_ == b.address_;

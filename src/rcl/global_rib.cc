@@ -1,6 +1,7 @@
 #include "rcl/global_rib.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <tuple>
 
@@ -147,11 +148,33 @@ bool RibRow::rowEquals(const RibRow& other) const {
 }
 
 std::string RibRow::str() const {
-  std::string out = device + "/" + vrf + " " + prefix.str() + " nh=" + nexthop.str() +
-                    " lp=" + std::to_string(localPref) + " med=" + std::to_string(med) +
-                    " w=" + std::to_string(weight) + " igp=" + std::to_string(igpCost) +
-                    " type=" + routeTypeName(routeType) + " proto=" +
-                    protocolName(protocol);
+  const auto appendNumber = [](std::string& out, uint32_t value) {
+    char buffer[10];
+    out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+  };
+  // Rendered into one per-thread buffer that keeps its capacity across rows,
+  // then copied out at its exact size: finalized tables hold every render.
+  thread_local std::string out;
+  out.clear();
+  out += device;
+  out += '/';
+  out += vrf;
+  out += ' ';
+  prefix.appendTo(out);
+  out += " nh=";
+  nexthop.appendTo(out);
+  out += " lp=";
+  appendNumber(out, localPref);
+  out += " med=";
+  appendNumber(out, med);
+  out += " w=";
+  appendNumber(out, weight);
+  out += " igp=";
+  appendNumber(out, igpCost);
+  out += " type=";
+  out += routeTypeName(routeType);
+  out += " proto=";
+  out += protocolName(protocol);
   if (!communities.empty()) {
     out += " comm=[";
     for (size_t i = 0; i < communities.size(); ++i) {
@@ -160,8 +183,12 @@ std::string RibRow::str() const {
     }
     out += ']';
   }
-  if (!asPath.empty()) out += " path=[" + asPath + "]";
-  return out;
+  if (!asPath.empty()) {
+    out += " path=[";
+    out += asPath;
+    out += ']';
+  }
+  return std::string(out);
 }
 
 GlobalRib GlobalRib::fromNetworkRibs(const NetworkRibs& ribs,

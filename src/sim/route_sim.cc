@@ -729,15 +729,15 @@ void dedupeRoutes(NetworkRibs& ribs) {
   for (auto& [deviceId, deviceRib] : ribs.devices()) {
     for (auto& [vrfId, vrfRib] : deviceRib.vrfs()) {
       for (auto& [prefix, routes] : vrfRib.routes()) {
-        std::vector<Route> unique;
-        unique.reserve(routes.size());
-        for (const Route& route : routes) {
-          bool seen = false;
-          for (const Route& kept : unique)
-            if (kept == route) seen = true;
-          if (!seen) unique.push_back(route);
+        // In place: routes[0, kept) are the first occurrences so far.
+        size_t kept = 0;
+        for (size_t i = 0; i < routes.size(); ++i) {
+          const auto keptEnd = routes.begin() + static_cast<std::ptrdiff_t>(kept);
+          if (std::find(routes.begin(), keptEnd, routes[i]) != keptEnd) continue;
+          if (i != kept) routes[kept] = std::move(routes[i]);
+          ++kept;
         }
-        routes = std::move(unique);
+        routes.erase(routes.begin() + static_cast<std::ptrdiff_t>(kept), routes.end());
       }
     }
   }

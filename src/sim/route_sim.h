@@ -84,7 +84,8 @@ RouteSimResult simulateRoutes(const NetworkModel& model,
 // different subtasks (and the local-routes subtask) are ranked together.
 void reselectAll(NetworkRibs& ribs);
 
-// Removes exact-duplicate routes within each (device, vrf, prefix) cell.
+// Removes exact-duplicate routes within each (device, vrf, prefix) cell, in
+// place, keeping each route's first occurrence and the cell's order.
 // Needed after merging subtask results: an aggregate whose contributors span
 // several route subtasks is originated once per subtask.
 void dedupeRoutes(NetworkRibs& ribs);

@@ -295,6 +295,71 @@ TEST(NetworkRibsTest, MergeConcatenatesRouteLists) {
   EXPECT_EQ(a.routeCount(), 2u);
 }
 
+// Two devices x two VRFs of random v4 and v6 prefixes, each list led by a
+// best or an alternate route; the same seed yields the same RIB.
+NetworkRibs randomRibs(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  NetworkRibs ribs;
+  for (const char* device : {"MOVE-R1", "MOVE-R2"})
+    for (const NameId vrf : {kInvalidName, Names::id("MOVE-VRF")})
+      for (int i = 0; i < 300; ++i) {
+        const bool v6 = i % 3 == 0;
+        const IpAddress address =
+            v6 ? IpAddress::v6(0x2400000000000000ULL | (rng() & 0xffffffffffffULL), rng())
+               : IpAddress::v4(0x0a000000u | static_cast<uint32_t>(rng() & 0xffffff));
+        const Prefix prefix(address, static_cast<uint8_t>(v6 ? 16 + rng() % 49 : 8 + rng() % 21));
+        std::vector<Route>& routes = ribs.device(Names::id(device)).vrf(vrf).routesFor(prefix);
+        Route route;
+        route.prefix = prefix;
+        route.nexthop = IpAddress::v4(static_cast<uint32_t>(rng()));
+        route.type = rng() % 4 == 0 ? RouteType::kAlternate : RouteType::kBest;
+        routes.push_back(route);
+      }
+  return ribs;
+}
+
+TEST(NetworkRibsTest, MovedIndexAnswersLikeARebuiltOne) {
+  // The forwarding tries point into node-based maps, which a move hands over
+  // whole, so an indexed RIB needs no rebuild after it is moved or
+  // move-assigned.
+  NetworkRibs constructedFrom = randomRibs(41);
+  constructedFrom.buildForwardingIndex();
+  NetworkRibs constructed(std::move(constructedFrom));
+  NetworkRibs assignedFrom = randomRibs(41);
+  assignedFrom.buildForwardingIndex();
+  NetworkRibs assigned = randomRibs(99);
+  assigned.buildForwardingIndex();
+  assigned = std::move(assignedFrom);
+  NetworkRibs rebuilt = randomRibs(41);
+  rebuilt.buildForwardingIndex();
+
+  std::mt19937_64 rng(5);
+  size_t matched = 0;
+  for (const auto& [deviceId, deviceRib] : rebuilt.devices())
+    for (const auto& [vrfId, expected] : deviceRib.vrfs())
+      for (const NetworkRibs* moved : {&constructed, &assigned}) {
+        const VrfRib* actual = moved->findDevice(deviceId)->findVrf(vrfId);
+        ASSERT_NE(actual, nullptr);
+        for (int i = 0; i < 2000; ++i) {
+          const IpAddress dst =
+              i % 3 == 0
+                  ? IpAddress::v6(0x2400000000000000ULL | (rng() & 0xffffffffffffULL), rng())
+                  : IpAddress::v4(0x0a000000u | static_cast<uint32_t>(rng() & 0xffffff));
+          const std::optional<Prefix> prefix = actual->longestMatchPrefix(dst);
+          ASSERT_EQ(prefix, expected.longestMatchPrefix(dst)) << dst.str();
+          const std::vector<Route>* routes = actual->longestMatch(dst);
+          const std::vector<Route>* expectedRoutes = expected.longestMatch(dst);
+          ASSERT_EQ(routes == nullptr, expectedRoutes == nullptr) << dst.str();
+          if (!routes) continue;
+          // The match is the moved table's own list, equal to the rebuilt one.
+          EXPECT_EQ(routes, actual->find(*prefix)) << dst.str();
+          EXPECT_EQ(*routes, *expectedRoutes) << dst.str();
+          ++matched;
+        }
+      }
+  EXPECT_GT(matched, 1000u);
+}
+
 TEST(FlowPathTest, DevicesVisitedAndLinkUse) {
   FlowPath path;
   const NameId a = Names::id("A"), b = Names::id("B"), c = Names::id("C");

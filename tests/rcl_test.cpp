@@ -1,10 +1,13 @@
 // RCL language tests: the Fig. 6 running example, every §4.3 use case, the
 // full construct matrix, parser errors, counter-examples, a semantics
-// property test against a brute-force oracle, and the prefix-scoped
-// GlobalRib render against the full render on a generated network.
+// property test against a brute-force oracle, the prefix-scoped GlobalRib
+// render against the full render on a generated network, and the row render
+// kernel against the snprintf-and-concatenation formatting it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <random>
 #include <set>
 
@@ -388,6 +391,181 @@ TEST(ScopedRenderTest, LargeComplementScope) {
   const Prefix excluded = *Prefix::parse("100.0.0.0/24");
   ASSERT_EQ(std::erase(scope, excluded), 1u);
   expectFilteredTable(full, scope);
+}
+
+// --- render kernel --------------------------------------------------------------
+
+// The formatting IpAddress::str, Prefix::str and RibRow::str had before
+// they wrote into one caller buffer, kept as the byte-identity reference.
+std::string referenceAddress(const IpAddress& address) {
+  char buffer[64];
+  if (address.isV4()) {
+    const uint32_t v = address.v4Value();
+    std::snprintf(buffer, sizeof(buffer), "%u.%u.%u.%u", (v >> 24) & 0xff, (v >> 16) & 0xff,
+                  (v >> 8) & 0xff, v & 0xff);
+    return buffer;
+  }
+  std::array<uint16_t, 8> groups;
+  for (int i = 0; i < 4; ++i)
+    groups[i] = static_cast<uint16_t>(address.bits().hi >> (48 - 16 * i));
+  for (int i = 0; i < 4; ++i)
+    groups[4 + i] = static_cast<uint16_t>(address.bits().lo >> (48 - 16 * i));
+  int bestStart = -1;
+  int bestLen = 0;
+  for (int i = 0; i < 8;) {
+    if (groups[i] != 0) {
+      ++i;
+      continue;
+    }
+    int j = i;
+    while (j < 8 && groups[j] == 0) ++j;
+    if (j - i > bestLen) {
+      bestLen = j - i;
+      bestStart = i;
+    }
+    i = j;
+  }
+  std::string out;
+  if (bestLen < 2) bestStart = -1;
+  for (int i = 0; i < 8; ++i) {
+    if (i == bestStart) {
+      out += i == 0 ? "::" : ":";
+      i += bestLen - 1;
+      if (i == 7) return out;
+      continue;
+    }
+    std::snprintf(buffer, sizeof(buffer), "%x", groups[i]);
+    out += buffer;
+    if (i != 7) out += ':';
+  }
+  return out;
+}
+
+std::string referencePrefix(const Prefix& prefix) {
+  return referenceAddress(prefix.address()) + "/" + std::to_string(prefix.length());
+}
+
+std::string referenceRow(const RibRow& r) {
+  std::string out = r.device + "/" + r.vrf + " " + referencePrefix(r.prefix) +
+                    " nh=" + referenceAddress(r.nexthop) +
+                    " lp=" + std::to_string(r.localPref) + " med=" + std::to_string(r.med) +
+                    " w=" + std::to_string(r.weight) + " igp=" + std::to_string(r.igpCost) +
+                    " type=" + routeTypeName(r.routeType) + " proto=" +
+                    protocolName(r.protocol);
+  if (!r.communities.empty()) {
+    out += " comm=[";
+    for (size_t i = 0; i < r.communities.size(); ++i) {
+      if (i) out += ' ';
+      out += r.communities[i];
+    }
+    out += ']';
+  }
+  if (!r.asPath.empty()) out += " path=[" + r.asPath + "]";
+  return out;
+}
+
+// IPv6 groups drawn so zero runs of every length and position are common.
+IpAddress randomV6(std::mt19937_64& rng) {
+  uint64_t halves[2] = {0, 0};
+  for (int group = 0; group < 8; ++group) {
+    const uint64_t value = rng() % 3 == 0 ? rng() & 0xffff : 0;
+    halves[group / 4] |= value << (48 - 16 * (group % 4));
+  }
+  return IpAddress::v6(halves[0], halves[1]);
+}
+
+IpAddress randomAddress(std::mt19937_64& rng) {
+  if (rng() % 2) return randomV6(rng);
+  // Octets of 0, one and two digits, and 255 all show up.
+  uint32_t value = 0;
+  for (int octet = 0; octet < 4; ++octet) {
+    const uint32_t kinds[] = {0, static_cast<uint32_t>(rng() % 10),
+                              static_cast<uint32_t>(rng() % 100),
+                              static_cast<uint32_t>(rng() % 256), 255};
+    value = (value << 8) | kinds[rng() % 5];
+  }
+  return IpAddress::v4(value);
+}
+
+void expectAddressRendersLikeReference(const IpAddress& address) {
+  EXPECT_EQ(address.str(), referenceAddress(address));
+  std::string appended = "x";
+  address.appendTo(appended);
+  EXPECT_EQ(appended, "x" + referenceAddress(address));
+}
+
+void expectPrefixRendersLikeReference(const Prefix& prefix) {
+  EXPECT_EQ(prefix.str(), referencePrefix(prefix));
+  std::string appended = "x";
+  prefix.appendTo(appended);
+  EXPECT_EQ(appended, "x" + referencePrefix(prefix));
+}
+
+TEST(RenderKernelTest, EdgeAddressesAndPrefixesRenderLikeTheReference) {
+  for (const char* text : {"0.0.0.0/0", "255.255.255.255/32", "10.0.0.0/8", "1.2.3.4/31",
+                           "::/0", "::1/128", "::/128", "1::/16", "1::1/128",
+                           "2400:db8::/32", "1:0:0:1::1/128", "1:0:0:1:0:0:0:1/128",
+                           "1:0:1:0:1:0:1:0/128", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+                           "0:0:1::/48", "1::2:0:0:3/128"}) {
+    const auto prefix = Prefix::parse(text);
+    ASSERT_TRUE(prefix.has_value()) << text;
+    expectPrefixRendersLikeReference(*prefix);
+    expectAddressRendersLikeReference(prefix->address());
+  }
+  EXPECT_EQ(Prefix::parse("0.0.0.0/0")->str(), "0.0.0.0/0");
+  EXPECT_EQ(Prefix::parse("255.255.255.255/32")->str(), "255.255.255.255/32");
+  EXPECT_EQ(IpAddress::parse("::")->str(), "::");
+  EXPECT_EQ(IpAddress::parse("::1")->str(), "::1");
+  EXPECT_EQ(IpAddress::parse("1:0:0:1:0:0:0:1")->str(), "1:0:0:1::1");
+}
+
+TEST(RenderKernelTest, RandomAddressesAndPrefixesRenderLikeTheReference) {
+  std::mt19937_64 rng(20251);
+  for (int i = 0; i < 4000; ++i) {
+    const IpAddress address = randomAddress(rng);
+    expectAddressRendersLikeReference(address);
+    const uint8_t length = static_cast<uint8_t>(rng() % (address.width() + 1));
+    expectPrefixRendersLikeReference(Prefix(address, length));
+  }
+}
+
+TEST(RenderKernelTest, RowsRenderLikeTheReference) {
+  std::mt19937_64 rng(7);
+  const std::vector<std::vector<std::string>> communitySets = {
+      {}, {"100:1"}, {"100:1", "200:65535", "65535:65535"}};
+  const std::vector<std::string> paths = {"", "65000", "100 200 {300 400}"};
+  const uint32_t numbers[] = {0, 7, 100, 4294967295u};
+  size_t rows = 0;
+  for (const RouteType type : {RouteType::kBest, RouteType::kEcmp, RouteType::kAlternate})
+    for (const Protocol protocol : {Protocol::kDirect, Protocol::kStatic, Protocol::kIsis,
+                                    Protocol::kBgp, Protocol::kAggregate})
+      for (const auto& communities : communitySets)
+        for (const std::string& path : paths) {
+          RibRow r;
+          r.device = rng() % 2 ? "BR-0-0" : "a-much-longer-device-name-0123456789";
+          r.vrf = rng() % 2 ? "global" : "VRF-CUSTOMER";
+          const IpAddress address = randomAddress(rng);
+          r.prefix = Prefix(address, static_cast<uint8_t>(rng() % (address.width() + 1)));
+          r.nexthop = randomAddress(rng);
+          r.localPref = numbers[rng() % 4];
+          r.med = numbers[rng() % 4];
+          r.weight = numbers[rng() % 4];
+          r.igpCost = numbers[rng() % 4];
+          r.communities = communities;
+          r.asPath = path;
+          r.routeType = type;
+          r.protocol = protocol;
+          EXPECT_EQ(r.str(), referenceRow(r));
+          ++rows;
+        }
+  EXPECT_EQ(rows, 3u * 5u * 3u * 3u);
+}
+
+TEST(RenderKernelTest, GeneratedTableRendersLikeTheReference) {
+  const GlobalRib table = GlobalRib::fromNetworkRibs(corpusRibs());
+  ASSERT_GT(table.size(), 0u);
+  for (uint32_t i = 0; i < table.size(); ++i)
+    ASSERT_EQ(table.renderedRow(i), referenceRow(table.rows()[i])) << i;
 }
 
 }  // namespace

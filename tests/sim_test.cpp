@@ -250,6 +250,36 @@ TEST(RouteSimTest, MemoryBudgetTriggersOutOfMemory) {
   EXPECT_FALSE(result.stats.converged);
 }
 
+TEST(DedupeRoutesTest, KeepsFirstOccurrencesInOrder) {
+  const auto route = [](const char* nexthop, uint32_t localPref) {
+    Route r;
+    r.prefix = *Prefix::parse("10.9.0.0/16");
+    r.nexthop = *IpAddress::parse(nexthop);
+    r.attrs.localPref = localPref;
+    return r;
+  };
+  const Route a = route("1.1.1.1", 100), b = route("2.2.2.2", 100),
+              c = route("1.1.1.1", 200);
+  const NameId device = Names::id("DEDUPE-R1");
+  const NameId vrf = Names::id("DEDUPE-VRF");
+  const Prefix interleaved = *Prefix::parse("10.9.0.0/16");
+  const Prefix allEqual = *Prefix::parse("10.8.0.0/16");
+  const Prefix empty = *Prefix::parse("10.7.0.0/16");
+  NetworkRibs ribs;
+  ribs.device(device).vrf(kInvalidName).routesFor(interleaved) = {a, b, a, c, b, a, c};
+  ribs.device(device).vrf(kInvalidName).routesFor(allEqual) = {b, b, b, b};
+  ribs.device(device).vrf(kInvalidName).routesFor(empty) = {};
+  ribs.device(device).vrf(vrf).routesFor(interleaved) = {c, c, a};
+  dedupeRoutes(ribs);
+  const VrfRib& global = *ribs.findDevice(device)->findVrf(kInvalidName);
+  EXPECT_EQ(*global.find(interleaved), (std::vector<Route>{a, b, c}));
+  EXPECT_EQ(*global.find(allEqual), (std::vector<Route>{b}));
+  ASSERT_NE(global.find(empty), nullptr);
+  EXPECT_TRUE(global.find(empty)->empty());
+  EXPECT_EQ(*ribs.findDevice(device)->findVrf(vrf)->find(interleaved),
+            (std::vector<Route>{c, a}));
+}
+
 TEST(LocalRoutesTest, DirectStaticAndIsisInstalled) {
   SmallWan net = buildSmallWan();
   StaticRouteConfig staticRoute;

@@ -1,10 +1,13 @@
 // Tests of the shared subtask runner (src/dist/subtask_runner.h): retry
 // accounting across worker counts, exhaustion, thrown bodies, settling with
-// and without cancellation, cache hits, and the zero-work path.
+// and without cancellation, cache hits, the zero-work path, and the master
+// thread's own work (`onMaster`).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -214,6 +217,104 @@ TEST(SubtaskRunnerTest, NothingEnqueuedStartsNoThreads) {
   EXPECT_EQ(runner.threadsStarted(), 0u);
   EXPECT_EQ(settledCalls, 1u);
   EXPECT_TRUE(runner.succeeded());
+}
+
+// Waits up to `limit` for `ready`, under `mutex`; true when it became true.
+bool waitFor(std::mutex& mutex, std::condition_variable& changed,
+             const std::function<bool()>& ready,
+             std::chrono::seconds limit = std::chrono::seconds(10)) {
+  std::unique_lock lock(mutex);
+  return changed.wait_for(lock, limit, ready);
+}
+
+TEST(SubtaskRunnerTest, MasterWorkRunsOnceOnTheCallerWhileWorkersRun) {
+  for (const size_t workers : {1u, 3u, 6u}) {
+    obs::Telemetry tel;
+    SubtaskRunner runner(runnerOptions(tel, workers));
+    enqueueAll(runner, 12);
+    std::mutex mutex;
+    std::condition_variable changed;
+    size_t started = 0;
+    bool masterDone = false;
+    size_t bodiesSawMasterDone = 0;
+    size_t masterCalls = 0;
+    std::thread::id masterThread;
+    // The master work waits for a worker to start, and every body waits for
+    // the master work to finish. Both can only hold when the work runs after
+    // the workers start and before the master collects their reports.
+    runner.run(
+        [&](size_t, int) {
+          {
+            std::lock_guard lock(mutex);
+            ++started;
+          }
+          changed.notify_all();
+          if (waitFor(mutex, changed, [&] { return masterDone; })) {
+            std::lock_guard lock(mutex);
+            ++bodiesSawMasterDone;
+          }
+        },
+        {}, false,
+        [&] {
+          ++masterCalls;
+          masterThread = std::this_thread::get_id();
+          EXPECT_TRUE(waitFor(mutex, changed, [&] { return started > 0; })) << workers;
+          {
+            std::lock_guard lock(mutex);
+            masterDone = true;
+          }
+          changed.notify_all();
+        });
+    EXPECT_EQ(masterCalls, 1u) << workers;
+    EXPECT_EQ(masterThread, std::this_thread::get_id()) << workers;
+    EXPECT_EQ(bodiesSawMasterDone, 12u) << workers;
+    EXPECT_TRUE(runner.succeeded()) << workers;
+  }
+}
+
+TEST(SubtaskRunnerTest, MasterWorkRunsWhenNothingIsQueued) {
+  // Every subtask a cache hit, or the caller settled and cancelled before
+  // the start: no worker starts, and the master work still runs once.
+  for (const bool settledFirst : {false, true}) {
+    obs::Telemetry tel;
+    SubtaskRunner runner(runnerOptions(tel, 4));
+    runner.cacheHit(runner.add("t-0"), "key-0");
+    if (settledFirst) runner.enqueue(runner.add("t-1"));
+    size_t masterCalls = 0;
+    std::thread::id masterThread;
+    runner.run([](size_t, int) { FAIL() << "no subtask may run"; },
+               [&] { return settledFirst; }, /*cancel=*/true,
+               [&] {
+                 ++masterCalls;
+                 masterThread = std::this_thread::get_id();
+               });
+    EXPECT_EQ(runner.threadsStarted(), 0u) << settledFirst;
+    EXPECT_EQ(masterCalls, 1u) << settledFirst;
+    EXPECT_EQ(masterThread, std::this_thread::get_id()) << settledFirst;
+  }
+}
+
+TEST(SubtaskRunnerTest, ThrowingMasterWorkFinishesThePhaseThenPropagates) {
+  constexpr size_t kSubtasks = 16;
+  for (const size_t workers : {1u, 3u, 6u}) {
+    obs::Telemetry tel;
+    SubtaskRunner runner(runnerOptions(tel, workers));
+    enqueueAll(runner, kSubtasks);
+    std::atomic<size_t> finished{0};
+    EXPECT_THROW(runner.run(
+                     [&](size_t, int) {
+                       std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                       ++finished;
+                     },
+                     {}, false, [] { throw std::runtime_error("render failed"); }),
+                 std::runtime_error);
+    // Every subtask ran and was reported back before the exception left
+    // run(); an unjoined worker thread would have terminated the process.
+    EXPECT_EQ(finished.load(), kSubtasks) << workers;
+    for (const SubtaskMetric& row : runner.rows())
+      EXPECT_EQ(row.outcome, SubtaskOutcome::kSucceeded) << row.id;
+    EXPECT_EQ(tel.metrics().counter("test.completed").value(), kSubtasks) << workers;
+  }
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // counterexample list — to both the serial oracle (checkKFailures) and an
 // unpruned sweep, at 1, 3, and 6 workers. The same holds for the derived
 // sweep run with sweep::intentProperty, which renders only the rows of the
-// relevant prefixes, against the oracle's full-table render. A divergence
-// prints the seed, the intent, the derived hints, and the smallest differing
-// scenario so the case can be replayed and minimized.
+// relevant prefixes, against the oracle's full-table render. Each seed also
+// checks a test-local intent that reads two relevant prefixes on one device,
+// which the corpus never does. A divergence prints the seed, the intent, the
+// derived hints, and the smallest differing scenario so the case can be
+// replayed and minimized.
 //
 // Seed count knob (CI sanitizer runs use a reduced set):
 //   --seeds=N                     (test binary flag)
@@ -18,6 +20,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -124,10 +127,32 @@ SeedCase buildCase(unsigned seed) {
   return c;
 }
 
+// Reads two announced ISP prefixes on one internal device. The corpus's
+// scoped templates whose verdict can change under a failure each read a
+// single prefix, so without this intent a scoped render that kept only one
+// relevant prefix would pass every seed. Kept out of generateRclCorpus, which
+// Fig. 8 and core_test share.
+std::string multiPrefixIntent(const GeneratedWan& wan, const std::vector<InputRoute>& inputs,
+                              unsigned seed) {
+  const Prefix isp = *Prefix::parse("100.0.0.0/8");
+  std::set<Prefix> announced;
+  for (const InputRoute& input : inputs)
+    if (isp.contains(input.route.prefix)) announced.insert(input.route.prefix);
+  const std::vector<Prefix> prefixes(announced.begin(), announced.end());
+  const std::vector<NameId> routers = wan.internalDevices();
+  if (prefixes.size() < 2 || routers.empty()) return "";
+  const size_t first = seed % prefixes.size();
+  const size_t second = (first + 1 + seed % (prefixes.size() - 1)) % prefixes.size();
+  return "prefix = " + prefixes[first].str() + " or prefix = " + prefixes[second].str() +
+         " => POST || device = " + Names::str(routers[seed % routers.size()]) +
+         " |> distCnt(prefix) = 2";
+}
+
 TEST(SweepPropTest, DerivedHintsSweepMatchesSerialOracleOnRandomCases) {
   size_t scopedSeeds = 0;
   size_t fallbackSeeds = 0;
   size_t prunedScenarios = 0;
+  size_t multiPrefixPassingSeeds = 0;
 
   for (unsigned seed = 1; seed <= propSeedCount; ++seed) {
     const SeedCase c = buildCase(seed);
@@ -207,6 +232,43 @@ TEST(SweepPropTest, DerivedHintsSweepMatchesSerialOracleOnRandomCases) {
           << " :: " << *scopedDiff;
     }
 
+    // The two-prefix intent, through the facade's property only.
+    {
+      const std::string multiSpec = multiPrefixIntent(c.generated, inputs, seed);
+      ASSERT_FALSE(multiSpec.empty()) << context << " announces fewer than two ISP prefixes";
+      const std::string multiContext = context + " multi=\"" + multiSpec + "\"";
+      const rcl::ParseOutcome multi = rcl::parseIntent(multiSpec);
+      ASSERT_TRUE(multi.ok()) << multiContext << " parse error: " << multi.error;
+      const rcl::IntentPtr multiIntent = multi.intent;
+      const KFailureResult multiSerial = checkKFailures(
+          model, inputs,
+          [multiIntent](const NetworkModel&, const NetworkRibs& ribs) {
+            rcl::GlobalRib rib = rcl::GlobalRib::fromNetworkRibs(ribs);
+            return rcl::checkIntent(*multiIntent, rib, rib).satisfied;
+          },
+          c.failure);
+      // A scenario that passes needs both prefixes' rows on the device.
+      if (multiSerial.scenariosChecked > multiSerial.counterexamples.size())
+        ++multiPrefixPassingSeeds;
+      const sweep::DeriveResult multiDerived =
+          sweep::deriveHints(*multiIntent, model, inputs);
+      ASSERT_TRUE(multiDerived.scoped) << multiContext << " " << multiDerived.reason;
+      EXPECT_GE(multiDerived.hints.relevantPrefixes.size(), 2u) << multiContext;
+      const NetworkProperty multiProperty =
+          sweep::intentProperty(multiIntent, multiDerived);
+      for (const size_t workers : {1u, 3u, 6u}) {
+        sweep::SweepOptions options;
+        options.failure = c.failure;
+        options.workers = workers;
+        const sweep::SweepResult swept = sweep::sweepKFailures(
+            model, inputs, multiProperty, options, multiDerived.hints);
+        const auto diff = diverges(multiSerial, swept.result);
+        EXPECT_FALSE(diff.has_value())
+            << multiContext << " [intentProperty workers=" << workers << "] "
+            << describeHints(multiDerived) << " :: " << *diff;
+      }
+    }
+
     if (::testing::Test::HasFailure()) {
       // One divergence is enough: later seeds would bury the report.
       FAIL() << "divergence at " << context << " | " << hintNote;
@@ -218,10 +280,12 @@ TEST(SweepPropTest, DerivedHintsSweepMatchesSerialOracleOnRandomCases) {
   if (propSeedCount >= 10) {
     EXPECT_GT(scopedSeeds, 0u);
     EXPECT_GT(fallbackSeeds, 0u);
+    EXPECT_GT(multiPrefixPassingSeeds, 0u);
   }
   std::cout << "[sweep-prop] seeds=" << propSeedCount << " scoped=" << scopedSeeds
             << " fallback=" << fallbackSeeds
-            << " pruned-scenarios=" << prunedScenarios << "\n";
+            << " pruned-scenarios=" << prunedScenarios
+            << " multi-prefix-passing=" << multiPrefixPassingSeeds << "\n";
 }
 
 }  // namespace
