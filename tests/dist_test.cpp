@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "dist/dist_sim.h"
@@ -396,6 +399,38 @@ TEST_F(DistSimTest, RetriesEqualExtraAttemptsAtEveryWorkerCount) {
       metricExtra += static_cast<size_t>(metric.attempts - 1);
     EXPECT_EQ(route.retries, metricExtra) << workers;
   }
+}
+
+TEST_F(DistSimTest, ThrowingMasterWorkClosesTheTrafficPhase) {
+  // A throw from the master-thread work leaves runTrafficSimulation only
+  // after every worker joined and the traffic.exec phase was closed.
+  obs::TelemetryOptions telemetryOptions;
+  telemetryOptions.journal = true;
+  obs::Telemetry telemetry(telemetryOptions);
+
+  DistSimOptions options;
+  options.workers = 3;
+  options.routeSubtasks = 8;
+  options.trafficSubtasks = 6;
+  options.telemetry = &telemetry;
+  DistributedSimulator sim(*model_, options);
+  ASSERT_TRUE(sim.runRouteSimulation(inputs_).succeeded);
+  EXPECT_THROW(sim.runTrafficSimulation(
+                   flows_, [] { throw std::runtime_error("render failed"); }),
+               std::runtime_error);
+
+  const std::string journal = telemetry.journal().toJsonl();
+  const auto count = [&](const std::string& event) {
+    size_t n = 0;
+    std::istringstream lines(journal);
+    for (std::string line; std::getline(lines, line);)
+      if (line.find("\"ev\":\"" + event + "\"") != std::string::npos &&
+          line.find("\"phase\":\"traffic.exec\"") != std::string::npos)
+        ++n;
+    return n;
+  };
+  EXPECT_EQ(count("phase_begin"), 1u) << journal;
+  EXPECT_EQ(count("phase_end"), 1u) << journal;
 }
 
 }  // namespace
